@@ -55,7 +55,14 @@ def make_hierarchy(config: HierarchyConfig):
 
 
 class _LevelState:
-    """Per-level flat arrays the C walk updates in place."""
+    """Per-level flat arrays the C walk updates in place.
+
+    ``way_line`` (-1 marks an empty way), ``dirty`` and LRU's ``stamp``
+    hold one entry per way; bit-PLRU's ``mru`` and DRRIP's ``rrpv`` one
+    uint64 word per set (see :class:`cnative.Level
+    <repro.cache.kernels.cnative.Level>`): an MRU mask with a bit per way,
+    and 2-bit RRPV fields that all start at 3.
+    """
 
     __slots__ = (
         "way_line",
@@ -64,7 +71,6 @@ class _LevelState:
         "stamp",
         "clock",
         "mru",
-        "mru_cnt",
         "rrpv",
         "role",
         "duel",
@@ -79,10 +85,9 @@ class _LevelState:
             self.stamp = np.zeros(total, dtype=np.int64)
             self.clock = np.zeros(1, dtype=np.int64)
         elif policy == _PLRU:
-            self.mru = np.zeros(total, dtype=np.uint8)
-            self.mru_cnt = np.zeros(sets, dtype=np.int64)
+            self.mru = np.zeros(sets, dtype=np.uint64)
         else:
-            self.rrpv = np.full(total, 3, dtype=np.uint8)
+            self.rrpv = np.full(sets, np.iinfo(np.uint64).max, dtype=np.uint64)
             self.role = np.asarray(drrip_roles(sets), dtype=np.uint8)
             self.duel = np.array([512, 0], dtype=np.int64)
 

@@ -6,10 +6,16 @@ from dataclasses import dataclass, replace
 
 from repro._util import check_positive
 
-__all__ = ["HierarchyConfig", "POLICIES"]
+__all__ = ["HierarchyConfig", "MAX_STREAMS", "MAX_WAYS", "POLICIES"]
 
 #: Replacement policies both simulators implement.
 POLICIES = ("lru", "plru", "drrip")
+
+#: The C walk keeps a set's replacement state in one 64-bit word, DRRIP's
+#: as 2 bits per way, and scans the prefetcher's stream table as 64-bit
+#: match masks.
+MAX_WAYS = 32
+MAX_STREAMS = 64
 
 
 @dataclass(frozen=True)
@@ -18,7 +24,9 @@ class HierarchyConfig:
 
     Defaults are the scaled Table II machine (DESIGN.md Section 5): sizes
     are 16x smaller than the paper's so that scaled-down inputs preserve
-    the paper's working-set-to-cache ratios.
+    the paper's working-set-to-cache ratios. A level has at most
+    :data:`MAX_WAYS` ways and the prefetcher 1 to :data:`MAX_STREAMS`
+    streams; its fields are checked whether or not it is on.
     """
 
     l1_bytes: int = 2 * 1024
@@ -41,8 +49,14 @@ class HierarchyConfig:
 
     def __post_init__(self):
         for name in ("l1_bytes", "l1_ways", "l2_bytes", "l2_ways",
-                     "llc_bytes", "llc_ways", "line_bytes"):
+                     "llc_bytes", "llc_ways", "line_bytes", "prefetch_streams",
+                     "prefetch_degree", "prefetch_threshold"):
             check_positive(name, getattr(self, name))
+        if self.prefetch_streams > MAX_STREAMS:
+            raise ValueError(
+                f"prefetch_streams must be at most {MAX_STREAMS}, "
+                f"got {self.prefetch_streams}"
+            )
         for level, size, ways, reserved, policy in [
             ("l1", self.l1_bytes, self.l1_ways, self.l1_reserved_ways,
              self.l1_policy),
@@ -55,6 +69,10 @@ class HierarchyConfig:
                 raise ValueError(
                     f"unknown {level} replacement policy {policy!r}; "
                     f"expected one of {POLICIES}"
+                )
+            if ways > MAX_WAYS:
+                raise ValueError(
+                    f"{level}_ways must be at most {MAX_WAYS}, got {ways}"
                 )
             if size % (ways * self.line_bytes):
                 raise ValueError(f"{level} size not divisible by ways*line")

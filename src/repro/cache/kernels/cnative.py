@@ -15,9 +15,13 @@ to identical counters:
   trace itself) or per trace (:func:`hierarchy_walk`) that walks each
   access through L1 → L2 → LLC with the stream prefetcher inline, against
   :class:`~repro.cache.fastsim.FastHierarchy`
-  (``tests/cache/test_batchsim.py``, ``tests/cache/test_walk_fuzz.py``);
-  :func:`prefetch_scan_native` runs the walk's stream-table routine alone,
-  against :meth:`StreamPrefetcher.observe
+  (``tests/cache/test_batchsim.py``, ``tests/cache/test_walk_fuzz.py``,
+  which also compares every way's replacement state). bit-PLRU and DRRIP
+  keep one 64-bit word per set (:class:`Level`), so a touch, a victim
+  search and DRRIP's aging are a few word operations, and a dirty victim
+  walks down the levels in one loop; :func:`prefetch_scan_native` runs
+  the walk's stream-table routine alone, against
+  :meth:`StreamPrefetcher.observe
   <repro.cache.prefetcher.StreamPrefetcher.observe>`;
 * the eviction-pipeline DES behind
   :meth:`~repro.des.eviction_model.EvictionBufferModel.run`, against the
@@ -51,6 +55,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.cache.config import MAX_STREAMS
+
 __all__ = [
     "available",
     "build_error",
@@ -73,9 +79,10 @@ _SOURCE = r"""
    every access goes through L1 -> L2 -> LLC exactly as
    repro.cache.fastsim.FastHierarchy.access does it. A level is the flat
    state of repro.cache.batchsim._LevelState: way_line (-1 = empty way),
-   dirty bits, per-set occupancy, and its policy's own arrays; only the
-   first `usable` ways of a set (ways minus reserved ways) ever hold a
-   line. */
+   dirty bits, per-set occupancy, and its policy's state; only the first
+   `usable` ways of a set (ways minus reserved ways, at most 32) ever hold
+   a line. bit-PLRU and DRRIP keep one word per set: bit w of the MRU mask,
+   and bits 2w and 2w + 1 of the RRPV word, belong to way w. */
 
 enum { POL_LRU = 0, POL_PLRU = 1, POL_DRRIP = 2 };
 
@@ -85,9 +92,8 @@ typedef struct {
     uint8_t *dirty;
     int64_t *occ;
     int64_t *stamp, *clock;     /* LRU: per-way stamp, one clock */
-    uint8_t *mru;               /* bit-PLRU: per-way MRU bit, */
-    int64_t *mru_cnt;           /*   per-set count of set bits */
-    uint8_t *rrpv;              /* DRRIP: per-way RRPV, */
+    uint64_t *mru;              /* bit-PLRU: per-set MRU mask */
+    uint64_t *rrpv;             /* DRRIP: per-set 2-bit RRPV fields, */
     const uint8_t *role;        /*   per-set dueling role, */
     int64_t *duel;              /*   [psel, brrip_tick] */
 } Level;
@@ -95,7 +101,8 @@ typedef struct {
 /* The stream prefetcher's table: the insertion-ordered dict of
    repro.cache.prefetcher.StreamPrefetcher as two parallel arrays of its
    `active` entries, oldest first: key (next expected line) and
-   confidence. */
+   confidence. The keys of the num_streams - active free slots (at most 64
+   slots in all) hold -1, which matches no line. */
 typedef struct {
     int64_t num_streams, degree, threshold;
     int64_t *keys, *conf;
@@ -104,10 +111,13 @@ typedef struct {
 
 static void stream_drop(Streams *st, int64_t slot)
 {
-    size_t tail = (size_t)(st->active - slot - 1) * sizeof(int64_t);
-    memmove(st->keys + slot, st->keys + slot + 1, tail);
-    memmove(st->conf + slot, st->conf + slot + 1, tail);
-    st->active -= 1;
+    int64_t last = st->active - 1;
+    for (int64_t s = slot; s < last; s++) {
+        st->keys[s] = st->keys[s + 1];
+        st->conf[s] = st->conf[s + 1];
+    }
+    st->keys[last] = -1;
+    st->active = last;
 }
 
 static void stream_push(Streams *st, int64_t key, int64_t confidence)
@@ -118,15 +128,28 @@ static void stream_push(Streams *st, int64_t key, int64_t confidence)
 }
 
 /* StreamPrefetcher.observe(line): returns how many lines after `line` to
-   prefetch (0 or degree). */
+   prefetch (0 or degree). The slots keyed `line` and `line + 1` are the
+   lowest bits of two match masks over every slot, with no early exit (a
+   key is unique, so each mask has at most one bit); a 16-slot table, the
+   default, is compared unrolled. */
 static int64_t stream_observe(Streams *st, int64_t line)
 {
-    int64_t found = -1, next = -1;
-    for (int64_t s = 0; s < st->active; s++) {
-        if (st->keys[s] == line) found = s;
-        if (st->keys[s] == line + 1) next = s;
+    const int64_t *keys = st->keys;
+    uint64_t hit = 0, after = 0;
+    if (st->num_streams == 16) {
+#pragma GCC unroll 16
+        for (int s = 0; s < 16; s++) {
+            hit |= (uint64_t)(keys[s] == line) << s;
+            after |= (uint64_t)(keys[s] == line + 1) << s;
+        }
+    } else {
+        for (int64_t s = 0; s < st->num_streams; s++) {
+            hit |= (uint64_t)(keys[s] == line) << s;
+            after |= (uint64_t)(keys[s] == line + 1) << s;
+        }
     }
-    if (found < 0) {
+    int64_t next = after ? __builtin_ctzll(after) : -1;
+    if (!hit) {
         /* allocate: upsert line + 1 at confidence 0 (an existing entry
            keeps its place), dropping the oldest stream when full */
         if (next >= 0) {
@@ -138,6 +161,7 @@ static int64_t stream_observe(Streams *st, int64_t line)
         return 0;
     }
     /* extend: pop, then upsert line + 1 */
+    int64_t found = __builtin_ctzll(hit);
     int64_t confidence = st->conf[found] + 1;
     stream_drop(st, found);
     if (next >= 0) st->conf[next - (next > found)] = confidence;
@@ -177,47 +201,28 @@ static inline int64_t find_way(const Level *lv, int64_t base, int64_t line)
     return mask ? __builtin_ctz(mask) : -1;
 }
 
-/* The first of v[0..n) equal to x, or -1: one match mask per 64 entries,
-   with no early exit inside it. */
-static inline int64_t first_equal(const uint8_t *v, int64_t n, uint8_t x)
-{
-    for (int64_t w0 = 0; w0 < n; w0 += 64) {
-        int64_t width = n - w0 < 64 ? n - w0 : 64;
-        uint64_t mask = 0;
-        for (int64_t w = 0; w < width; w++) {
-            mask |= (uint64_t)(v[w0 + w] == x) << w;
-        }
-        if (mask) return w0 + __builtin_ctzll(mask);
-    }
-    return -1;
-}
-
-/* Replacement-state update on a hit (FastHierarchy._touch). */
+/* Replacement-state update on a hit (FastHierarchy._touch). bit-PLRU sets
+   the way's MRU bit, unless that would set every usable way's: then the
+   way's bit is the only one left set. */
 static inline void touch(Level *lv, int64_t sidx, int64_t base, int64_t way)
 {
     if (lv->policy == POL_LRU) {
         lv->stamp[base + way] = ++lv->clock[0];
     } else if (lv->policy == POL_PLRU) {
-        uint8_t *mru = lv->mru + base;
-        if (mru[way] == 0) {
-            int64_t count = lv->mru_cnt[sidx] + 1;
-            if (count >= lv->usable) {
-                memset(mru, 0, (size_t)lv->usable);
-                count = 1;
-            }
-            mru[way] = 1;
-            lv->mru_cnt[sidx] = count;
-        }
+        uint64_t full = ~UINT64_C(0) >> (64 - lv->usable);
+        uint64_t bits = lv->mru[sidx] | UINT64_C(1) << way;
+        lv->mru[sidx] = bits == full ? UINT64_C(1) << way : bits;
     } else {
-        lv->rrpv[base + way] = 0;
+        lv->rrpv[sidx] &= ~(UINT64_C(3) << 2 * way);
     }
 }
 
 /* The way a full set gives up (FastHierarchy._victim). bit-PLRU takes the
    first way whose MRU bit is clear (way 0 when none is). DRRIP ages the set
    until some RRPV reaches 3 and takes the first such way; every RRPV stays
-   at most 3, so that is one aging by 3 - max and the first way at the max. */
-static int64_t victim(Level *lv, int64_t base)
+   at most 3, so that is the first way at the maximum and one aging of every
+   usable field by 3 - max, which no field can carry out of. */
+static int64_t victim(Level *lv, int64_t sidx, int64_t base)
 {
     int64_t usable = lv->usable;
     if (lv->policy == POL_LRU) {
@@ -229,45 +234,49 @@ static int64_t victim(Level *lv, int64_t base)
         return way;
     }
     if (lv->policy == POL_PLRU) {
-        int64_t way = first_equal(lv->mru + base, usable, 0);
-        return way < 0 ? 0 : way;
+        uint64_t clear = ~lv->mru[sidx] & (~UINT64_C(0) >> (64 - usable));
+        return clear ? __builtin_ctzll(clear) : 0;
     }
-    uint8_t *rrpv = lv->rrpv + base;
-    uint8_t top = 0;
-    for (int64_t w = 0; w < usable; w++) top = rrpv[w] > top ? rrpv[w] : top;
-    int64_t way = first_equal(rrpv, usable, top);
-    for (int64_t w = 0; w < usable; w++) rrpv[w] += 3 - top;
-    return way;
+    /* the low bit of every usable field */
+    uint64_t ones = UINT64_C(0x5555555555555555) >> (64 - 2 * usable);
+    uint64_t rrpv = lv->rrpv[sidx];
+    uint64_t lo = rrpv & ones, hi = (rrpv >> 1) & ones;
+    uint64_t at = ones;         /* the fields at the maximum RRPV */
+    uint64_t age = 3;
+    if (lo & hi) {
+        at = lo & hi;
+        age = 0;
+    } else if (hi) {
+        at = hi;
+        age = 1;
+    } else if (lo) {
+        at = lo;
+        age = 2;
+    }
+    lv->rrpv[sidx] = rrpv + age * ones;
+    return __builtin_ctzll(at) >> 1;
 }
 
-/* count = [hits x3, misses x3, dram_writes, dram_prefetch_reads] */
-static void fill(Level *lv, int64_t *count, int k, int64_t line,
-                 uint8_t dirty);
-
-/* FastHierarchy._fill of a line absent from level k, in set sidx: take
-   the first free usable way or evict, sending a dirty victim one level
-   down (to DRAM below the LLC), then apply the policy's insertion. */
-static void install(Level *lv, int64_t *count, int k, int64_t line,
-                    int64_t sidx, uint8_t dirty)
+/* FastHierarchy._fill's placement of a line absent from a level, in set
+   sidx: the first free usable way, else the victim, then the policy's
+   insertion. Returns the victim's line when it was dirty, else -1. */
+static int64_t install(Level *level, int64_t line, int64_t sidx,
+                       uint8_t dirty)
 {
-    Level *level = &lv[k];
     int64_t base = sidx * level->ways;
-    int64_t way;
+    int64_t way, spill = -1;
     if (level->occ[sidx] < level->usable) {
         way = find_way(level, base, -1);
         level->occ[sidx] += 1;
     } else {
-        way = victim(level, base);
-        if (level->dirty[base + way]) {
-            if (k < 2) fill(lv, count, k + 1, level->way_line[base + way], 1);
-            else count[6] += 1;
-        }
+        way = victim(level, sidx, base);
+        if (level->dirty[base + way]) spill = level->way_line[base + way];
     }
     level->way_line[base + way] = line;
     level->dirty[base + way] = dirty;
     if (level->policy != POL_DRRIP) {
         touch(level, sidx, base, way);
-        return;
+        return spill;
     }
     int64_t *duel = level->duel;
     uint8_t role = level->role[sidx];
@@ -276,29 +285,43 @@ static void install(Level *lv, int64_t *count, int k, int64_t line,
     } else if (role == 2) {     /* BRRIP leader */
         if (duel[0] > 0) duel[0] -= 1;
     }
+    uint64_t rrpv = 2;
     if (role == 2 || (role == 0 && duel[0] < 512)) {
         duel[1] += 1;
-        level->rrpv[base + way] = (duel[1] % 32 == 0) ? 2 : 3;
-    } else {
-        level->rrpv[base + way] = 2;
+        rrpv = (duel[1] % 32 == 0) ? 2 : 3;
     }
+    int shift = 2 * (int)way;
+    level->rrpv[sidx] = (level->rrpv[sidx] & ~(UINT64_C(3) << shift))
+                        | rrpv << shift;
+    return spill;
 }
 
-/* FastHierarchy._fill: a resident line is touched (and dirtied by a dirty
-   fill), an absent one installed. */
+/* FastHierarchy._fill of a line absent from level k, in set sidx, with
+   the write-backs it sets off: a dirty victim goes one level down, where
+   a resident copy is touched and dirtied and an absent one is installed
+   in turn (which may give up a dirty victim of its own); a dirty LLC
+   victim is a DRAM write. count = [hits x3, misses x3, dram_writes,
+   dram_prefetch_reads] */
 static void fill(Level *lv, int64_t *count, int k, int64_t line,
-                 uint8_t dirty)
+                 int64_t sidx, uint8_t dirty)
 {
-    Level *level = &lv[k];
-    int64_t sidx = set_of(level, line);
-    int64_t base = sidx * level->ways;
-    int64_t way = find_way(level, base, line);
-    if (way < 0) {
-        install(lv, count, k, line, sidx, dirty);
-        return;
+    line = install(&lv[k], line, sidx, dirty);
+    while (line >= 0) {
+        if (++k == 3) {
+            count[6] += 1;
+            return;
+        }
+        Level *level = &lv[k];
+        sidx = set_of(level, line);
+        int64_t base = sidx * level->ways;
+        int64_t way = find_way(level, base, line);
+        if (way >= 0) {
+            level->dirty[base + way] = 1;
+            touch(level, sidx, base, way);
+            return;
+        }
+        line = install(level, line, sidx, 1);
     }
-    if (dirty) level->dirty[base + way] = 1;
-    touch(level, sidx, base, way);
 }
 
 /* FastHierarchy.access of one line: returns the serving level (1 = L1 ..
@@ -328,7 +351,7 @@ static inline int walk_access(Level *lv, Streams *st, int64_t line,
     }
     if (k == 0) return 1;
     for (int f = k - 1; f >= 0; f--) {
-        install(lv, count, f, line, sidx[f], f == 0 ? write : 0);
+        fill(lv, count, f, line, sidx[f], f == 0 ? write : 0);
     }
     if (st == NULL) return k + 1;
     int64_t issued = stream_observe(st, line);
@@ -337,7 +360,7 @@ static inline int walk_access(Level *lv, Streams *st, int64_t line,
         int64_t ps = set_of(l2, pf);
         if (find_way(l2, ps * l2->ways, pf) >= 0) continue;
         if (find_way(llc, set_of(llc, pf) * llc->ways, pf) < 0) count[7] += 1;
-        install(lv, count, 1, pf, ps, 0);
+        fill(lv, count, 1, pf, ps, 0);
     }
     return k + 1;
 }
@@ -810,6 +833,7 @@ int64_t gshare_walk(
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I8 = ctypes.POINTER(ctypes.c_int8)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
+_U64 = ctypes.POINTER(ctypes.c_uint64)
 _F64 = ctypes.POINTER(ctypes.c_double)
 
 
@@ -819,7 +843,11 @@ class Level(ctypes.Structure):
 
     Geometry, policy code (0 LRU, 1 bit-PLRU, 2 DRRIP) and pointers to the
     level's flat state arrays, which must outlive the struct; the arrays of
-    the policies it does not run stay NULL.
+    the policies it does not run stay NULL. ``way_line`` and ``dirty`` hold
+    one entry per way, LRU's ``stamp`` too; bit-PLRU's ``mru`` and DRRIP's
+    ``rrpv`` hold one uint64 word per set, way ``w`` at bit ``w`` of the
+    MRU mask and at bits ``2w`` and ``2w + 1`` of the RRPV word, so at most
+    32 ways fit.
     """
 
     _fields_ = [
@@ -832,9 +860,8 @@ class Level(ctypes.Structure):
         ("occ", _I64),
         ("stamp", _I64),
         ("clock", _I64),
-        ("mru", _U8),
-        ("mru_cnt", _I64),
-        ("rrpv", _U8),
+        ("mru", _U64),
+        ("rrpv", _U64),
         ("role", _U8),
         ("duel", _I64),
     ]
@@ -865,14 +892,22 @@ class _Streams(ctypes.Structure):
 class _StreamTable:
     """A :class:`~repro.cache.prefetcher.StreamPrefetcher`'s stream table as
     the C routine ``stream_observe`` reads it: the insertion-ordered dict
-    ``_expect`` as two arrays of keys and confidences, oldest first.
-    :meth:`restore` writes the table back and adds the lines issued to
-    ``issued``.
+    ``_expect`` as two arrays of keys and confidences, oldest first, with
+    the keys of the free slots past them set to -1, which matches no line.
+    The routine scans the table as 64-bit masks, so a prefetcher of more
+    than :data:`~repro.cache.config.MAX_STREAMS` streams raises
+    ``ValueError``. :meth:`restore` writes the table back and adds the
+    lines issued to ``issued``.
     """
 
     def __init__(self, prefetcher):
+        if prefetcher.num_streams > MAX_STREAMS:
+            raise ValueError(
+                f"the C stream table holds at most {MAX_STREAMS} streams, "
+                f"got {prefetcher.num_streams}"
+            )
         expect = prefetcher._expect
-        self.keys = np.zeros(prefetcher.num_streams, dtype=np.int64)
+        self.keys = np.full(prefetcher.num_streams, -1, dtype=np.int64)
         self.conf = np.zeros(prefetcher.num_streams, dtype=np.int64)
         self.keys[: len(expect)] = list(expect)
         self.conf[: len(expect)] = list(expect.values())

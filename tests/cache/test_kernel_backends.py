@@ -252,3 +252,23 @@ class TestBackendSelection:
     def test_cnative_build_is_cached(self):
         assert cnative.load() is cnative.load()
         assert cnative.build_error() is None
+
+
+def test_freed_stream_slot_matches_no_line():
+    """Extending the newest stream frees its slot. The scan compares every
+    slot, so the freed one's key must become -1: the second miss on 11
+    finds no stream and only resets the one expecting 12."""
+    scanned, observed = StreamPrefetcher(4, 1, 2), StreamPrefetcher(4, 1, 2)
+    lines = np.array([11, 10, 11, 11])
+    cnative.prefetch_scan_native(scanned, np.arange(lines.size), lines)
+    for line in lines.tolist():
+        observed.observe(line)
+    assert scanned._expect == observed._expect == {12: 0}
+
+
+def test_prefetch_scan_rejects_a_table_wider_than_its_mask():
+    """The stream table is scanned as 64-bit match masks."""
+    with pytest.raises(ValueError, match="at most 64 streams"):
+        cnative.prefetch_scan_native(
+            StreamPrefetcher(65), np.zeros(1), np.array([10])
+        )

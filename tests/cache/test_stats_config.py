@@ -71,6 +71,35 @@ class TestHierarchyConfig:
         with pytest.raises(ValueError, match="divisible"):
             HierarchyConfig(l1_bytes=1000)
 
+    @pytest.mark.parametrize("level", ["l1", "l2", "llc"])
+    def test_more_ways_than_a_state_word_holds_rejected(self, level):
+        """32 2-bit DRRIP fields fill the C walk's 64-bit word per set."""
+        fields = {f"{level}_bytes": 32 * 64, f"{level}_ways": 32}
+        assert HierarchyConfig(**fields).sets(level) == 1
+        fields = {f"{level}_bytes": 33 * 64, f"{level}_ways": 33}
+        with pytest.raises(ValueError, match=f"{level}_ways must be at most 32"):
+            HierarchyConfig(**fields)
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("field, bad", [
+        ("prefetch_streams", 0),
+        ("prefetch_streams", 65),
+        ("prefetch_degree", 0),
+        ("prefetch_degree", -3),
+        ("prefetch_threshold", 0),
+    ])
+    def test_prefetcher_fields_validated(self, prefetch, field, bad):
+        """Checked whether or not the prefetcher is on, naming the field."""
+        with pytest.raises(ValueError, match=field):
+            HierarchyConfig(prefetch=prefetch, **{field: bad})
+
+    @pytest.mark.parametrize("streams", [1, 64])
+    def test_prefetcher_field_limits_accepted(self, streams):
+        config = HierarchyConfig(
+            prefetch_streams=streams, prefetch_degree=1, prefetch_threshold=1
+        )
+        assert config.prefetch_streams == streams
+
     def test_reserved_ways_validated(self):
         with pytest.raises(ValueError, match="reserved"):
             HierarchyConfig(l1_reserved_ways=8)

@@ -1,25 +1,30 @@
 """Differential fuzzing: the C walk against the FastHierarchy oracle.
 
-Hypothesis draws a whole :class:`HierarchyConfig` — 1–16 ways per level,
-8 and 16 (the fixed-width way searches) more often than the rest, and 1–8
-sets (3, 5, 6 and 7 sets take the modulo set index, the rest the bitmask),
-reserved ways anywhere in ``[0, ways)``, a policy per level, and the
-prefetcher on or off with its streams, degree and threshold varied — and
-an adversarial trace built from bursts: same-set conflict strides,
-sequential runs, stuttering runs (steps of -1 to 2 lines, so streams
-restart and revisit), write bursts, lines reused from earlier bursts, and
-random lines. Both engines replay the trace in the same randomly cut
-chunks and must agree after every chunk on the served levels, every
-counter, and the prefetcher's ``issued`` and stream table; at the end on
-every level's residency; and each must satisfy the conservation laws.
+Hypothesis draws a whole :class:`HierarchyConfig` — 1–32 ways per level,
+8, 16 (the fixed-width way searches) and 32 (a full DRRIP word) more often
+than the rest, and 1–8 sets (3, 5, 6 and 7 sets take the modulo set index,
+the rest the bitmask), reserved ways anywhere in ``[0, ways)``, a policy
+per level, and the prefetcher on or off with 1–64 streams (16, the
+unrolled default, and 64, a full match mask, more often than the rest)
+and its degree and threshold varied — and an adversarial trace built from
+bursts: same-set conflict strides, sequential runs, stuttering runs
+(steps of -1 to 2 lines, so streams restart and revisit), write bursts,
+lines reused from earlier bursts, and random lines. Both engines replay
+the trace in the same randomly cut chunks and must agree after every
+chunk on the served levels, every counter, the prefetcher's ``issued``
+and stream table, and every level's replacement state way by way (the C
+walk's per-set MRU masks and RRPV words unpacked); at the end on every
+level's residency; and each must satisfy the conservation laws.
 
 The phase entry (``replay_phase``) is fuzzed the same way: 1–4 segments,
 a write flag each, and stream injection from none to several lines per
 irregular access. Both engines must return the same tallies and reach the
 same state, and the tallies must equal those of the merged trace, built
 here one access at a time, replayed through the oracle's ``simulate``.
-A targeted trace drives DRRIP's PSEL counter to both rails. Without the C
-kernel library there is no fast path to compare, so the module is skipped.
+Targeted cases drive DRRIP's PSEL counter to both rails, fill a bit-PLRU
+set's MRU mask below reserved ways, and search a 32-way DRRIP set for its
+victim from each maximum RRPV. Without the C kernel library there is no
+fast path to compare, so the module is skipped.
 """
 
 import numpy as np
@@ -33,7 +38,7 @@ from repro.cache import (
     HierarchyConfig,
     ServiceCounts,
 )
-from repro.cache.config import POLICIES
+from repro.cache.config import MAX_STREAMS, MAX_WAYS, POLICIES
 from repro.cache.fastsim import drrip_roles
 from repro.cache.kernels import cnative
 from tests.cache.conservation import assert_conserved
@@ -51,7 +56,9 @@ LINE_BYTES = 64
 def configs(draw):
     fields = {}
     for name in LEVELS:
-        ways = draw(st.one_of(st.sampled_from([8, 16]), st.integers(1, 16)))
+        ways = draw(st.one_of(
+            st.sampled_from([8, 16, 32]), st.integers(1, MAX_WAYS)
+        ))
         sets = draw(st.integers(1, 8))
         fields[f"{name}_bytes"] = sets * ways * LINE_BYTES
         fields[f"{name}_ways"] = ways
@@ -60,7 +67,9 @@ def configs(draw):
     return HierarchyConfig(
         line_bytes=LINE_BYTES,
         prefetch=draw(st.booleans()),
-        prefetch_streams=draw(st.integers(1, 6)),
+        prefetch_streams=draw(st.one_of(
+            st.sampled_from([16, MAX_STREAMS]), st.integers(1, MAX_STREAMS)
+        )),
         prefetch_degree=draw(st.integers(1, 4)),
         prefetch_threshold=draw(st.integers(1, 3)),
         **fields,
@@ -111,6 +120,51 @@ def bursts(draw, config):
     return trace
 
 
+def unpack(words, width, count):
+    """The first ``count`` ``width``-bit fields of each per-set word, way 0
+    in the lowest bits: one row per set."""
+    shifts = width * np.arange(count, dtype=np.uint64)
+    return (words[:, None] >> shifts) & np.uint64((1 << width) - 1)
+
+
+def assert_same_ways(batch, fast, label=None):
+    """Every level's usable ways hold the same line, dirty bit and policy
+    state on both engines, and DRRIP's PSEL and BRRIP tick agree: the C
+    walk's per-set words are unpacked a way at a time."""
+    for level, (name, state) in enumerate(zip(LEVELS, batch._state)):
+        sets, ways = fast._sets[level], fast._ways[level]
+        usable = fast._usable[level]
+        where = (label, name)
+
+        def per_way(values):
+            return np.asarray(values).reshape(sets, ways)[:, :usable]
+
+        assert np.array_equal(
+            per_way(state.way_line), per_way(fast._way_line[level])
+        ), where
+        assert np.array_equal(
+            per_way(state.dirty), per_way(list(fast._dirty[level]))
+        ), where
+        assert state.occ.tolist() == fast._occ[level], where
+        policy = getattr(batch.config, f"{name}_policy")
+        if policy == "plru":
+            assert np.array_equal(
+                unpack(state.mru, 1, usable), per_way(list(fast._mru[level]))
+            ), where
+        elif policy == "drrip":
+            assert np.array_equal(
+                unpack(state.rrpv, 2, usable), per_way(list(fast._rrpv[level]))
+            ), where
+            assert state.duel.tolist() == [
+                fast._psel[level], fast._brrip_tick[level]
+            ], where
+        else:
+            assert np.array_equal(
+                per_way(state.stamp), per_way(fast._stamp[level])
+            ), where
+            assert int(state.clock[0]) == fast._clock[level], where
+
+
 def assert_same_residency(batch, fast, top):
     """Every line below ``top`` is resident at the same levels."""
     universe = range(top)
@@ -130,6 +184,7 @@ def replay(config, lines, writes, cuts):
         got = batch.simulate(chunk_lines, chunk_writes)
         assert np.array_equal(got, expected), (start, stop)
         assert_same_state(batch, fast, (start, stop))
+        assert_same_ways(batch, fast, (start, stop))
         served.append(got)
     served = np.concatenate(served)
     for hierarchy in (fast, batch):
@@ -207,6 +262,7 @@ def test_phase_entry_matches_oracle(data):
         expected = fast.replay_phase(*call)
         assert batch.replay_phase(*call) == expected
         assert_same_state(batch, fast)
+        assert_same_ways(batch, fast)
         lines, writes, is_stream = merged_trace(*call)
         top = max([top, *lines])
         served = reference.simulate(lines, writes)
@@ -271,10 +327,65 @@ def test_psel_reaches_both_rails():
         served.append(fast.simulate(phase))
         assert np.array_equal(batch.simulate(phase), served[-1])
         assert_same_state(batch, fast)
-        assert batch._state[2].duel.tolist() == [
-            fast._psel[2], fast._brrip_tick[2]
-        ]
+        assert_same_ways(batch, fast)
         psel.append(fast._psel[2])
     assert psel == [1023, 1023, 0, 0]
     for hierarchy in (fast, batch):
         assert_conserved(hierarchy, np.concatenate(served))
+
+
+def test_plru_mask_resets_below_reserved_ways():
+    """An 8-way bit-PLRU set with 3 reserved ways: the touch that would set
+    all 5 usable MRU bits clears the other four instead, on a fill and on
+    a hit alike, and a reserved way's bit never sets."""
+    config = HierarchyConfig(
+        l1_bytes=8 * LINE_BYTES, l1_ways=8, l1_reserved_ways=3,
+        l1_policy="plru", prefetch=False,
+    )
+    fast, batch = FastHierarchy(config), BatchHierarchy(config)
+    masks = []
+    for line in [0, 1, 2, 3, 4, 5, 1, 3, 2]:
+        assert np.array_equal(batch.simulate([line]), fast.simulate([line]))
+        assert_same_ways(batch, fast, line)
+        masks.append(int(batch._state[0].mru[0]))
+    # lines 0-4 fill ways 0-4; line 5 evicts way 0, the first clear bit
+    assert masks == [
+        0b1, 0b11, 0b111, 0b1111, 0b10000, 0b10001, 0b10011, 0b11011, 0b100
+    ]
+
+
+@pytest.mark.parametrize("top, at_top", [
+    (0, tuple(range(32))),
+    (1, (31,)),
+    (1, (4, 31)),
+    (2, (31,)),
+    (2, (7, 19)),
+    (3, (31,)),
+    (3, (0, 31)),
+])
+def test_drrip_victim_from_each_maximum(top, at_top):
+    """A full 32-way DRRIP set whose highest RRPV is ``top``, held by the
+    ways ``at_top``: the miss evicts the first of them (way 31, the word's
+    top field, when it alone is at the maximum), every other field ages by
+    3 - top, and the new line goes in at the victim's way."""
+    ways = 32
+    config = HierarchyConfig(
+        l1_bytes=LINE_BYTES, l1_ways=1, l2_bytes=LINE_BYTES, l2_ways=1,
+        llc_bytes=ways * LINE_BYTES, llc_ways=ways, llc_policy="drrip",
+        prefetch=False,
+    )
+    fast, batch = FastHierarchy(config), BatchHierarchy(config)
+    for hierarchy in (fast, batch):
+        hierarchy.simulate(np.arange(ways))  # lines 0-31 fill ways 0-31
+    rrpv = np.random.default_rng(top).integers(0, max(top, 1), size=ways)
+    rrpv[list(at_top)] = top
+    fast._rrpv[2][:ways] = bytes(rrpv.tolist())
+    batch._state[2].rrpv[0] = sum(int(v) << 2 * w for w, v in enumerate(rrpv))
+    assert_same_ways(batch, fast, "seeded")
+    assert np.array_equal(batch.simulate([ways]), fast.simulate([ways]))
+    assert_same_ways(batch, fast, "evicted")
+    victim = at_top[0]
+    assert batch._state[2].way_line[victim] == ways
+    expected = rrpv + 3 - top
+    expected[victim] = 2  # the one set is an SRRIP leader
+    assert unpack(batch._state[2].rrpv, 2, ways)[0].tolist() == expected.tolist()
