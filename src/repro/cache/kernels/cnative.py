@@ -130,23 +130,14 @@ static void stream_push(Streams *st, int64_t key, int64_t confidence)
 /* StreamPrefetcher.observe(line): returns how many lines after `line` to
    prefetch (0 or degree). The slots keyed `line` and `line + 1` are the
    lowest bits of two match masks over every slot, with no early exit (a
-   key is unique, so each mask has at most one bit); a 16-slot table, the
-   default, is compared unrolled. */
+   key is unique, so each mask has at most one bit). */
 static int64_t stream_observe(Streams *st, int64_t line)
 {
     const int64_t *keys = st->keys;
     uint64_t hit = 0, after = 0;
-    if (st->num_streams == 16) {
-#pragma GCC unroll 16
-        for (int s = 0; s < 16; s++) {
-            hit |= (uint64_t)(keys[s] == line) << s;
-            after |= (uint64_t)(keys[s] == line + 1) << s;
-        }
-    } else {
-        for (int64_t s = 0; s < st->num_streams; s++) {
-            hit |= (uint64_t)(keys[s] == line) << s;
-            after |= (uint64_t)(keys[s] == line + 1) << s;
-        }
+    for (int64_t s = 0; s < st->num_streams; s++) {
+        hit |= (uint64_t)(keys[s] == line) << s;
+        after |= (uint64_t)(keys[s] == line + 1) << s;
     }
     int64_t next = after ? __builtin_ctzll(after) : -1;
     if (!hit) {
@@ -1119,12 +1110,15 @@ def prefetch_scan_native(prefetcher, miss_seq, miss_lines):
     in order, each tagged with the ``miss_seq`` entry of the miss that
     issued it. The stream-table routine is the one :func:`hierarchy_walk`
     runs inline, and the prefetcher's state advances as ``observe`` would
-    advance it.
+    advance it. A negative line raises ``ValueError``, as the walks' lines
+    do: the table's free slots hold -1.
     """
     miss_seq = np.ascontiguousarray(miss_seq, dtype=np.int64)
     miss_lines = np.ascontiguousarray(miss_lines, dtype=np.int64)
     if miss_seq.shape != miss_lines.shape:
         raise ValueError("miss_seq and miss_lines differ in length")
+    if miss_lines.size and miss_lines.min() < 0:
+        raise ValueError(f"negative line number {int(miss_lines.min())}")
     count = miss_lines.shape[0]
     pf_seq = np.empty(count * prefetcher.degree, dtype=np.int64)
     pf_line = np.empty(count * prefetcher.degree, dtype=np.int64)

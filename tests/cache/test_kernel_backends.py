@@ -266,6 +266,14 @@ def test_freed_stream_slot_matches_no_line():
     assert scanned._expect == observed._expect == {12: 0}
 
 
+def test_prefetch_scan_rejects_a_negative_line():
+    """A free slot's key is -1, so a miss on line -1 would match it."""
+    prefetcher = StreamPrefetcher()
+    with pytest.raises(ValueError, match="negative line number -1"):
+        cnative.prefetch_scan_native(prefetcher, [0], [-1])
+    assert prefetcher._expect == {}
+
+
 def test_prefetch_scan_rejects_a_table_wider_than_its_mask():
     """The stream table is scanned as 64-bit match masks."""
     with pytest.raises(ValueError, match="at most 64 streams"):

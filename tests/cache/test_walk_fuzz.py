@@ -5,11 +5,12 @@ Hypothesis draws a whole :class:`HierarchyConfig` — 1–32 ways per level,
 than the rest, and 1–8 sets (3, 5, 6 and 7 sets take the modulo set index,
 the rest the bitmask), reserved ways anywhere in ``[0, ways)``, a policy
 per level, and the prefetcher on or off with 1–64 streams (16, the
-unrolled default, and 64, a full match mask, more often than the rest)
-and its degree and threshold varied — and an adversarial trace built from
-bursts: same-set conflict strides, sequential runs, stuttering runs
-(steps of -1 to 2 lines, so streams restart and revisit), write bursts,
-lines reused from earlier bursts, and random lines. Both engines replay
+default, 64, a full match mask, and 1–6, tables that fill and drop their
+oldest stream, more often than the rest) and its degree and threshold
+varied — and an adversarial trace built from bursts: same-set conflict
+strides, sequential runs, stuttering runs (steps of -1 to 2 lines, so
+streams restart and revisit), write bursts, lines reused from earlier
+bursts, and random lines. Both engines replay
 the trace in the same randomly cut chunks and must agree after every
 chunk on the served levels, every counter, the prefetcher's ``issued``
 and stream table, and every level's replacement state way by way (the C
@@ -68,7 +69,8 @@ def configs(draw):
         line_bytes=LINE_BYTES,
         prefetch=draw(st.booleans()),
         prefetch_streams=draw(st.one_of(
-            st.sampled_from([16, MAX_STREAMS]), st.integers(1, MAX_STREAMS)
+            st.sampled_from([16, MAX_STREAMS]), st.integers(1, 6),
+            st.integers(1, MAX_STREAMS),
         )),
         prefetch_degree=draw(st.integers(1, 4)),
         prefetch_threshold=draw(st.integers(1, 3)),
