@@ -18,6 +18,7 @@ __all__ = [
     "is_power_of_two",
     "lazy_exports",
     "next_power_of_two",
+    "out_of_bins",
     "rng_from_seed",
     "stable_order",
 ]
@@ -76,6 +77,17 @@ def as_index_array(values, name="indices"):
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
+
+
+def out_of_bins(indices, position, shift, num_bins):
+    """The ``ValueError`` for update ``position`` of ``indices``, whose bin
+    ``indices[position] >> shift`` lies outside ``[0, num_bins)``. The C
+    binning passes and their NumPy oracle raise the same one."""
+    index = int(indices[position])
+    return ValueError(
+        f"update {position} has index {index}, whose bin {index >> shift} "
+        f"lies outside [0, {num_bins})"
+    )
 
 
 def stable_order(keys):

@@ -31,6 +31,14 @@ to identical counters:
 * the count-only COBRA Binning replay behind
   :meth:`repro.core.machine.CobraMachine.binning_counts`, against the
   Python machines (``tests/core/test_binning_counts.py``);
+* software PB's binning primitives, one streaming pass each: the bin
+  counts behind :meth:`repro.pb.bins.BinSpec.binned` (:func:`bin_counts`),
+  the bin-major order prefix behind
+  :meth:`repro.pb.bins.BinnedStream.order` (:func:`bin_order`, a counting
+  sort's placement) and the C-Buffer occupancy behind
+  :meth:`repro.pb.cbuffer.CBufferModel.occupancy_before`
+  (:func:`bin_occupancy`), against their NumPy code
+  (``tests/pb/test_binning_native.py``);
 * the GShare walk behind
   :meth:`repro.cpu.branch.GSharePredictor.simulate_array`
   (:func:`gshare_walk`), against the scalar
@@ -55,6 +63,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro._util import out_of_bins
 from repro.cache.config import MAX_STREAMS
 
 __all__ = [
@@ -67,6 +76,9 @@ __all__ = [
     "prefetch_scan_native",
     "eviction_pipeline_native",
     "binning_counts_native",
+    "bin_counts",
+    "bin_order",
+    "bin_occupancy",
     "gshare_walk",
 ]
 
@@ -797,6 +809,70 @@ int64_t binning_counts_replay(
     return status;
 }
 
+/* Software PB's binning primitives (repro.pb.bins, repro.pb.cbuffer), one
+   pass each over an update stream whose update i goes to bin
+   indices[i] >> shift. Every pass checks the bin as an unsigned value
+   against num_bins, which also catches a negative index, and returns
+   i + 1 for the first update i out of range before it writes anything
+   for it, or 0. */
+
+/* Init's counting pass: counts (zeroed by the caller) gains 1 at each
+   update's bin. */
+int64_t bin_counts(
+    const int64_t *indices, int64_t n, int64_t shift, int64_t num_bins,
+    int64_t *counts)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t b = (uint64_t)(indices[i] >> shift);
+        if (b >= (uint64_t)num_bins) return i + 1;
+        counts[b] += 1;
+    }
+    return 0;
+}
+
+/* The first `limit` positions of the stable bin-major order, placed
+   counting-sort style: bin b's updates fill the slots from its offset
+   (the sum of the counts before it) in stream order. next[b] (scratch)
+   starts at that offset capped at `limit` and advances only while below
+   it, so the updates of bins past the cutoff, and the cutoff bin's
+   overflow, all land in the scratch slot order[limit]. */
+int64_t bin_order(
+    const int64_t *indices, int64_t n, int64_t shift, int64_t num_bins,
+    const int64_t *counts, int64_t limit, int64_t *next, int64_t *order)
+{
+    int64_t offset = 0;
+    for (int64_t b = 0; b < num_bins; b++) {
+        next[b] = offset < limit ? offset : limit;
+        offset += counts[b];
+    }
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t b = (uint64_t)(indices[i] >> shift);
+        if (b >= (uint64_t)num_bins) return i + 1;
+        int64_t slot = next[b];
+        order[slot] = i;
+        next[b] = slot + (slot < limit);
+    }
+    return 0;
+}
+
+/* Each update's C-Buffer occupancy before its insert: its rank within its
+   bin modulo per_line. seen (zeroed by the caller) holds each bin's
+   current occupancy and wraps to 0 when it reaches per_line. */
+int64_t bin_occupancy(
+    const int64_t *indices, int64_t n, int64_t shift, int64_t num_bins,
+    int64_t per_line, int64_t *seen, int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t b = (uint64_t)(indices[i] >> shift);
+        if (b >= (uint64_t)num_bins) return i + 1;
+        int64_t occupancy = seen[b];
+        out[i] = occupancy;
+        occupancy += 1;
+        seen[b] = occupancy == per_line ? 0 : occupancy;
+    }
+    return 0;
+}
+
 /* GShare over one branch's outcomes (repro.cpu.branch.GSharePredictor
    .simulate): each outcome (0/1) reads the 2-bit counter at
    (pc ^ history) & mask, counts a miss when the prediction (counter >= 2)
@@ -938,6 +1014,17 @@ _SIGNATURES = {
     "binning_counts_replay": (
         _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _U8,
         ctypes.c_int64, _I64,
+    ),
+    "bin_counts": (
+        _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64,
+    ),
+    "bin_order": (
+        _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64,
+        ctypes.c_int64, _I64, _I64,
+    ),
+    "bin_occupancy": (
+        _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, _I64, _I64,
     ),
     "gshare_walk": (
         _U8, ctypes.c_int64, ctypes.c_int64, _U8, ctypes.c_int64,
@@ -1192,6 +1279,61 @@ def binning_counts_native(indices, levels, memory_bins, num_indices):
         raise IndexError(f"bin {int(out[10])} out of range")
     counts = out.tolist()
     return counts[0:3], counts[3:6], counts[6:9], counts[9]
+
+
+def _check_bins(status, indices, shift, num_bins):
+    """Raise the pass's ``ValueError`` when it stopped at a bad bin."""
+    if status:
+        raise out_of_bins(indices, status - 1, shift, num_bins)
+
+
+def bin_counts(indices, shift, num_bins):
+    """Each bin's update count when update ``i`` goes to bin ``indices[i]
+    >> shift``, in one C pass (int64, ``num_bins`` long). An index whose
+    bin lies outside ``[0, num_bins)`` raises ``ValueError``.
+    """
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    counts = np.zeros(num_bins, dtype=np.int64)
+    status = load().bin_counts(
+        _ptr(indices, _I64), indices.shape[0], shift, num_bins,
+        _ptr(counts, _I64),
+    )
+    _check_bins(status, indices, shift, num_bins)
+    return counts
+
+
+def bin_order(indices, shift, counts, limit):
+    """The first ``limit`` positions (``0 <= limit <= len(indices)``) of
+    the stable bin-major order of ``indices``, placed in one C pass from
+    each bin's offset, the sum of the ``counts`` (:func:`bin_counts`)
+    before it. Bins as in :func:`bin_counts`, ``len(counts)`` of them.
+    """
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    next_slot = np.empty(counts.shape[0], dtype=np.int64)
+    order = np.empty(limit + 1, dtype=np.int64)  # order[limit] is scratch
+    status = load().bin_order(
+        _ptr(indices, _I64), indices.shape[0], shift, counts.shape[0],
+        _ptr(counts, _I64), limit, _ptr(next_slot, _I64), _ptr(order, _I64),
+    )
+    _check_bins(status, indices, shift, counts.shape[0])
+    return order[:limit]
+
+
+def bin_occupancy(indices, shift, num_bins, per_line):
+    """Each update's C-Buffer occupancy before its insert, in one C pass:
+    the number of earlier updates in its bin, modulo ``per_line``. Bins
+    as in :func:`bin_counts`.
+    """
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    seen = np.zeros(num_bins, dtype=np.int64)
+    occupancy = np.empty(indices.shape[0], dtype=np.int64)
+    status = load().bin_occupancy(
+        _ptr(indices, _I64), indices.shape[0], shift, num_bins, per_line,
+        _ptr(seen, _I64), _ptr(occupancy, _I64),
+    )
+    _check_bins(status, indices, shift, num_bins)
+    return occupancy
 
 
 def gshare_walk(predictor, pc, outcomes):

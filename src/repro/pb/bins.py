@@ -7,6 +7,15 @@ bin-major sort: bins are FIFO, so a stable partition by bin ID reproduces
 the order in which the Accumulate phase replays updates, and
 :func:`bin_updates` reorders an update stream by it exactly as a PB
 execution does.
+
+The bin counts (:meth:`BinSpec.binned`) and the order
+(:meth:`BinnedStream.order`) are PB's counting sort, Init's count then
+Binning's placement: each is one C pass
+(:func:`~repro.cache.kernels.cnative.bin_counts`,
+:func:`~repro.cache.kernels.cnative.bin_order`) exactly when
+:func:`cnative.available() <repro.cache.kernels.cnative.available>` is
+true, and NumPy code, their oracle, otherwise. An index whose bin lies
+outside ``[0, num_bins)`` raises the same ``ValueError`` on both paths.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from repro._util import (
     check_positive,
     is_power_of_two,
     next_power_of_two,
+    out_of_bins,
 )
 
 __all__ = ["BinSpec", "BinnedStream", "bin_updates", "bin_counts", "bin_offsets"]
@@ -31,6 +41,8 @@ class BinSpec:
 
     ``bin_range`` is the number of consecutive indices mapped to one bin;
     ``num_bins`` is derived so bins cover ``[0, num_indices)``.
+    :meth:`binned` counts a stream's bins in one C pass when the kernel
+    library loads, with NumPy code as its oracle.
     """
 
     num_indices: int
@@ -72,10 +84,23 @@ class BinSpec:
         return np.asarray(indices, dtype=np.int64) >> self.shift
 
     def binned(self, indices):
-        """The stream's :class:`BinnedStream`: every update's bin id and
-        each bin's count, derived in one pass."""
-        ids = self.bins_of(indices)
-        return BinnedStream(ids, np.bincount(ids, minlength=self.num_bins))
+        """The stream's :class:`BinnedStream`: the stream and each bin's
+        update count, counted in one pass (one C pass when the kernel
+        library loads)."""
+        from repro.cache.kernels import cnative
+
+        indices = np.ascontiguousarray(as_index_array(indices))
+        if cnative.available():
+            counts = cnative.bin_counts(indices, self.shift, self.num_bins)
+        else:
+            ids = indices >> self.shift
+            outside = (ids < 0) | (ids >= self.num_bins)
+            if outside.any():
+                raise out_of_bins(
+                    indices, int(np.argmax(outside)), self.shift, self.num_bins
+                )
+            counts = np.bincount(ids, minlength=self.num_bins)
+        return BinnedStream(indices, self.shift, counts)
 
     def bin_major_order(self, indices, limit=None):
         """The first ``limit`` positions of the stable bin-major order.
@@ -89,28 +114,43 @@ class BinSpec:
 
 @dataclass(frozen=True)
 class BinnedStream:
-    """An update stream binned under one :class:`BinSpec`: ``ids`` holds
-    each update's bin id (int64) and ``counts`` each bin's update count.
+    """An update stream binned under one :class:`BinSpec`: ``indices`` is
+    the stream (contiguous int64), each update's bin is ``index >>
+    shift``, and ``counts`` holds each bin's update count.
 
-    A phase list's builders (Init, Binning, Accumulate) all read the same
-    stream at the same spec, so they derive it once and share it.
+    A phase list's Binning and Accumulate builders both read the same
+    stream at the same spec, so they derive it once and share it. The bin ids
+    themselves are never stored: the C path never builds them, and the
+    NumPy path computes them when it needs them.
     """
 
-    ids: np.ndarray
+    indices: np.ndarray
+    shift: int
     counts: np.ndarray
 
     def order(self, limit=None):
         """The first ``limit`` positions of the stable bin-major order.
 
-        Like the Init phase's counting pass, the bin counts find the cutoff
-        bin, the first whose cumulative count reaches ``limit``; only
-        updates in bins up to it are then sorted, on ids cast to the
-        narrowest unsigned dtype that holds them (8- and 16-bit keys take
-        NumPy's radix sort).
+        With the kernel library this is one C pass that places each update
+        at its bin's next slot, counting-sort style, from the bin offsets.
+        The NumPy oracle, like the Init phase's counting pass, finds the
+        cutoff bin from the counts, the first whose cumulative count
+        reaches ``limit``; only updates in bins up to it are then sorted,
+        on ids cast to the narrowest unsigned dtype that holds them (8- and
+        16-bit keys take NumPy's radix sort).
         """
-        limit = len(self.ids) if limit is None else min(limit, len(self.ids))
+        from repro.cache.kernels import cnative
+
+        n = len(self.indices)
+        limit = n if limit is None else min(limit, n)
+        if limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
+        if cnative.available():
+            return cnative.bin_order(
+                self.indices, self.shift, self.counts, limit
+            )
         cutoff = int(np.searchsorted(np.cumsum(self.counts), limit))
-        ids = self.ids.astype(
+        ids = (self.indices >> self.shift).astype(
             _narrowest_unsigned(len(self.counts) - 1), copy=False
         )
         selected = np.flatnonzero(ids <= cutoff)
@@ -136,10 +176,7 @@ def _narrowest_unsigned(max_id):
 
 def bin_counts(indices, spec: BinSpec):
     """Tuples destined to each bin (the Init phase's per-bin sizing pass)."""
-    indices = as_index_array(indices)
-    return np.bincount(spec.bins_of(indices), minlength=spec.num_bins).astype(
-        np.int64
-    )
+    return spec.binned(indices).counts
 
 
 def bin_offsets(counts):
@@ -164,8 +201,9 @@ def bin_updates(indices, values, spec: BinSpec):
     indices = as_index_array(indices)
     if len(indices) and indices.max() >= spec.num_indices:
         raise ValueError("update stream contains indices beyond num_indices")
-    order = spec.bin_major_order(indices)
-    offsets = bin_offsets(bin_counts(indices, spec))
+    binned = spec.binned(indices)
+    order = binned.order()
+    offsets = bin_offsets(binned.counts)
     binned_indices = indices[order]
     if values is None:
         return binned_indices, None, offsets

@@ -6,7 +6,9 @@ C-Buffer is bulk-transferred to the in-memory bin with non-temporal stores.
 This module computes, for a given update stream, everything the
 performance model needs about that process: the per-tuple C-Buffer access
 trace, the per-tuple "did the buffer just fill?" branch outcomes, and the
-full/partial line transfer counts.
+full/partial line transfer counts. The occupancy behind the outcomes is
+one C pass exactly when the kernel library loads, and its NumPy oracle
+otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ __all__ = ["CBufferModel"]
 
 @dataclass(frozen=True)
 class CBufferModel:
-    """C-Buffers for one :class:`BinSpec` and tuple size."""
+    """C-Buffers for one :class:`BinSpec` and tuple size.
+
+    :meth:`occupancy_before`, behind :meth:`full_events`, is one C pass
+    when the kernel library loads, with NumPy code as its oracle.
+    """
 
     spec: BinSpec
     tuple_bytes: int
@@ -57,10 +63,19 @@ class CBufferModel:
     def occupancy_before(self, indices):
         """Per-update running occupancy of its C-Buffer, pre-insertion.
 
-        Vectorized group cumulative count: update ``k`` of bin ``b`` sees
-        occupancy ``k mod tuples_per_line``.
+        Update ``k`` of bin ``b`` sees occupancy ``k mod tuples_per_line``:
+        one C pass (:func:`~repro.cache.kernels.cnative.bin_occupancy`)
+        when the kernel library loads, else the NumPy oracle, a group
+        cumulative count over the bin-major order.
         """
+        from repro.cache.kernels import cnative
+
         indices = as_index_array(indices)
+        if cnative.available():
+            return cnative.bin_occupancy(
+                indices, self.spec.shift, self.spec.num_bins,
+                self.tuples_per_line,
+            )
         binned = self.spec.binned(indices)
         position_sorted = np.arange(len(indices), dtype=np.int64) - np.repeat(
             bin_offsets(binned.counts)[:-1], binned.counts

@@ -3,11 +3,13 @@
 Hypothesis draws a whole :class:`HierarchyConfig` — 1–32 ways per level,
 8, 16 (the fixed-width way searches) and 32 (a full DRRIP word) more often
 than the rest, and 1–8 sets (3, 5, 6 and 7 sets take the modulo set index,
-the rest the bitmask), reserved ways anywhere in ``[0, ways)``, a policy
-per level, and the prefetcher on or off with 1–64 streams (16, the
-default, 64, a full match mask, and 1–6, tables that fill and drop their
-oldest stream, more often than the rest) and its degree and threshold
-varied — and an adversarial trace built from bursts: same-set conflict
+the rest the bitmask), reserved ways anywhere in ``[0, ways)`` (at L1,
+``ways - 1`` in about half the draws: with one usable way per set, most
+accesses miss L1 and reach the prefetcher), a policy per level, and the
+prefetcher on or off with 1–64 streams (16, the default, 64, a full match
+mask, and 1–6, tables that fill and drop their oldest stream, more often
+than the rest) and its degree and threshold varied — and an adversarial
+trace built from bursts: same-set conflict
 strides, sequential runs, stuttering runs (steps of -1 to 2 lines, so
 streams restart and revisit), write bursts, lines reused from earlier
 bursts, and random lines. Both engines replay
@@ -23,8 +25,9 @@ irregular access. Both engines must return the same tallies and reach the
 same state, and the tallies must equal those of the merged trace, built
 here one access at a time, replayed through the oracle's ``simulate``.
 Targeted cases drive DRRIP's PSEL counter to both rails, fill a bit-PLRU
-set's MRU mask below reserved ways, and search a 32-way DRRIP set for its
-victim from each maximum RRPV. Without the C kernel library there is no
+set's MRU mask below reserved ways, search a 32-way DRRIP set for its
+victim from each maximum RRPV, and make a miss meet a freed stream slot
+through both entries. Without the C kernel library there is no
 fast path to compare, so the module is skipped.
 """
 
@@ -63,7 +66,10 @@ def configs(draw):
         sets = draw(st.integers(1, 8))
         fields[f"{name}_bytes"] = sets * ways * LINE_BYTES
         fields[f"{name}_ways"] = ways
-        fields[f"{name}_reserved_ways"] = draw(st.integers(0, ways - 1))
+        reserved = st.integers(0, ways - 1)
+        if name == "l1":  # one usable way: most accesses reach the prefetcher
+            reserved = st.one_of(st.just(ways - 1), reserved)
+        fields[f"{name}_reserved_ways"] = draw(reserved)
         fields[f"{name}_policy"] = draw(st.sampled_from(POLICIES))
     return HierarchyConfig(
         line_bytes=LINE_BYTES,
@@ -391,3 +397,25 @@ def test_drrip_victim_from_each_maximum(top, at_top):
     expected = rrpv + 3 - top
     expected[victim] = 2  # the one set is an SRRIP leader
     assert unpack(batch._state[2].rrpv, 2, ways)[0].tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("entry", ["simulate", "replay_phase"])
+def test_freed_stream_slot_through_the_walk(entry):
+    """Lines 11, 10, 11, 12, 11 through one L1 set with one usable way:
+    every access misses L1 and reaches the prefetcher. The second 11
+    extends stream 11, which frees its slot; 12 then extends stream 12 and
+    pushes 13 into the slot below it. The last 11 must find no stream and
+    allocate one: a freed slot that kept its key 11 would extend it."""
+    config = HierarchyConfig(
+        l1_bytes=2 * LINE_BYTES, l1_ways=2, l1_reserved_ways=1,
+        prefetch_streams=4, prefetch_degree=1, prefetch_threshold=2,
+    )
+    lines = np.array([11, 10, 11, 12, 11], dtype=np.int64)
+    fast, batch = FastHierarchy(config), BatchHierarchy(config)
+    if entry == "simulate":
+        assert np.array_equal(batch.simulate(lines), fast.simulate(lines))
+    else:
+        phase = ([lines], [False], 0, 0, len(lines))
+        assert batch.replay_phase(*phase) == fast.replay_phase(*phase)
+    assert_same_state(batch, fast)
+    assert fast.prefetcher._expect == {13: 2, 12: 0}

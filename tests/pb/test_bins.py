@@ -5,12 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.kernels import cnative
 from repro.pb import BinSpec, CBufferModel, bin_counts, bin_offsets, bin_updates
 from repro.pb.bins import _narrowest_unsigned
 from repro.workloads.base import RegionSpec, Segment
 
 #: Bin counts on both sides of each narrow-dtype boundary.
 BOUNDARY_BINS = (256, 257, 65_536, 65_537)
+
+
+@pytest.fixture(params=["cnative", "numpy"])
+def binning_path(request, monkeypatch):
+    """Run the test on the C binning passes (skipped without the kernel
+    library) and on their NumPy oracle."""
+    if request.param == "numpy":
+        monkeypatch.setattr(cnative, "available", lambda: False)
+    elif not cnative.available():
+        pytest.skip("the C kernel library is unavailable")
+    return request.param
 
 
 class TestBinSpec:
@@ -94,6 +106,19 @@ class TestBinUpdates:
         with pytest.raises(ValueError, match="beyond"):
             bin_updates(np.array([64]), None, spec)
 
+    @pytest.mark.parametrize("indices, message", [
+        ([1, 70, 200], r"update 1 has index 70, whose bin 4 lies outside \[0, 4\)"),
+        ([5, 63, -1], r"update 2 has index -1, whose bin -1 lies outside \[0, 4\)"),
+    ])
+    def test_index_outside_the_bins_rejected(self, binning_path, indices, message):
+        spec = BinSpec(64, 16)
+        with pytest.raises(ValueError, match=message):
+            spec.binned(indices)
+        with pytest.raises(ValueError, match=message):
+            bin_counts(indices, spec)
+        with pytest.raises(ValueError, match=message):
+            CBufferModel(spec, tuple_bytes=8).occupancy_before(indices)
+
     def test_value_length_checked(self):
         spec = BinSpec(64, 16)
         with pytest.raises(ValueError, match="parallel"):
@@ -117,11 +142,15 @@ class TestBinUpdates:
 
 
 @st.composite
-def binned_streams(draw):
-    """A BinSpec at a dtype boundary and a uniform, Zipf-skewed or
+def binned_streams(draw, random_specs=False):
+    """A BinSpec at a dtype boundary (or, with ``random_specs``, as often
+    any spec of up to 2^18 indices) and a uniform, Zipf-skewed or
     all-equal stream over its namespace (possibly empty)."""
-    bin_range = draw(st.sampled_from([1, 8]))
-    spec = BinSpec(draw(st.sampled_from(BOUNDARY_BINS)) * bin_range, bin_range)
+    if random_specs and draw(st.booleans()):
+        spec = BinSpec(draw(st.integers(1, 1 << 18)), 1 << draw(st.integers(0, 12)))
+    else:
+        bin_range = draw(st.sampled_from([1, 8]))
+        spec = BinSpec(draw(st.sampled_from(BOUNDARY_BINS)) * bin_range, bin_range)
     n = draw(st.integers(0, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["uniform", "zipf", "equal"]))
@@ -135,7 +164,7 @@ def binned_streams(draw):
     return spec, indices.astype(np.int64)
 
 
-def _limits(draw, n):
+def limits_around(draw, n):
     return [0, 1, max(n - 1, 0), n, n + 5, draw(st.integers(0, n + 10))]
 
 
@@ -167,7 +196,7 @@ class TestBinMajorOrder:
         spec, indices = stream
         full = np.argsort(spec.bins_of(indices), kind="stable")
         assert np.array_equal(spec.bin_major_order(indices), full)
-        for limit in _limits(data.draw, len(indices)):
+        for limit in limits_around(data.draw, len(indices)):
             assert np.array_equal(
                 spec.bin_major_order(indices, limit), full[:limit]
             )
@@ -178,7 +207,7 @@ class TestBinMajorOrder:
         spec, indices = stream
         model = CBufferModel(spec, tuple_bytes=8)
         events = model.full_events(indices)
-        for limit in _limits(data.draw, len(indices)):
+        for limit in limits_around(data.draw, len(indices)):
             assert np.array_equal(
                 model.full_events(indices[:limit]), events[:limit]
             )

@@ -47,6 +47,16 @@ BACKEND_PAIRS = {
     "CobraMachine.binning_counts": (
         "the Python machines", "tests/core/test_binning_counts.py::test_c_path_matches_the_oracle"
     ),
+    "BinSpec.binned": (
+        "np.bincount", "tests/pb/test_binning_native.py::test_c_path_matches_the_oracle"
+    ),
+    "BinnedStream.order": (
+        "the stable argsort", "tests/pb/test_binning_native.py::test_c_path_matches_the_oracle"
+    ),
+    "CBufferModel.occupancy_before": (
+        "the group cumulative count",
+        "tests/pb/test_binning_native.py::test_c_path_matches_the_oracle",
+    ),
 }
 
 #: Float-valued counters that must never be compared with ``==``.
