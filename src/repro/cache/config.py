@@ -12,8 +12,8 @@ __all__ = ["HierarchyConfig", "MAX_STREAMS", "MAX_WAYS", "POLICIES"]
 POLICIES = ("lru", "plru", "drrip")
 
 #: The C walk keeps a set's replacement state in one 64-bit word, DRRIP's
-#: as 2 bits per way, and scans the prefetcher's stream table as 64-bit
-#: match masks.
+#: as 2 bits per way. Its stream table marks free slots in one 64-bit word
+#: and indexes them with 128 buckets, so the index is at most half full.
 MAX_WAYS = 32
 MAX_STREAMS = 64
 

@@ -19,10 +19,16 @@ to identical counters:
   which also compares every way's replacement state). bit-PLRU and DRRIP
   keep one 64-bit word per set (:class:`Level`), so a touch, a victim
   search and DRRIP's aging are a few word operations, and a dirty victim
-  walks down the levels in one loop; :func:`prefetch_scan_native` runs
-  the walk's stream-table routine alone, against
-  :meth:`StreamPrefetcher.observe
-  <repro.cache.prefetcher.StreamPrefetcher.observe>`;
+  walks down the levels in one loop. The prefetcher's stream table is
+  what the oracle's dict is, slots linked in insertion order plus an
+  open-addressed index from key to slot, so observing a line looks up
+  two keys with one probe each and dropping or pushing a stream is O(1);
+  each call builds it from the prefetcher's oldest-first arrays and
+  writes it back.
+  :func:`prefetch_scan_native` runs the walk's stream-table routine
+  alone, against :meth:`StreamPrefetcher.observe
+  <repro.cache.prefetcher.StreamPrefetcher.observe>`
+  (``tests/cache/test_kernel_backends.py``);
 * the eviction-pipeline DES behind
   :meth:`~repro.des.eviction_model.EvictionBufferModel.run`, against the
   generator-engine formulation
@@ -110,68 +116,145 @@ typedef struct {
     int64_t *duel;              /*   [psel, brrip_tick] */
 } Level;
 
-/* The stream prefetcher's table: the insertion-ordered dict of
-   repro.cache.prefetcher.StreamPrefetcher as two parallel arrays of its
-   `active` entries, oldest first: key (next expected line) and
-   confidence. The keys of the num_streams - active free slots (at most 64
-   slots in all) hold -1, which matches no line. */
+/* The stream prefetcher's table as Python hands it over:
+   repro.cache.prefetcher.StreamPrefetcher's insertion-ordered dict as two
+   parallel arrays of its `active` entries, oldest first: key (next
+   expected line) and confidence. A walk builds a Table from them when it
+   starts and writes the Table back, oldest first, when it returns. */
 typedef struct {
     int64_t num_streams, degree, threshold;
     int64_t *keys, *conf;
     int64_t active, issued;
 } Streams;
 
-static void stream_drop(Streams *st, int64_t slot)
+/* The stream table while a walk runs, on the stack of one call: what a
+   Python dict is, slots linked in insertion order (the oldest at the head)
+   plus an open-addressed index from key to slot. The free-slot word
+   bounds the slots to 64 and the index has twice as many buckets, so it
+   is at most half full: linear probing, deletion by backward shift, no
+   tombstones. Looking up a key, dropping an entry and pushing one each
+   take expected O(1) time. */
+enum { SLOTS = 64, BUCKETS = 2 * SLOTS };
+
+typedef struct {
+    int64_t key[SLOTS], conf[SLOTS];
+    int8_t prev[SLOTS], next[SLOTS];    /* insertion order; -1 ends it */
+    int8_t head, tail;                  /* oldest and newest, -1 if none */
+    uint64_t free;                      /* bit s: slot s holds no entry */
+    int8_t bucket[BUCKETS];             /* a slot, or -1 for empty */
+    Streams *st;                        /* degree, threshold, issued */
+} Table;
+
+/* Fibonacci hashing: the top 7 bits of key * 2^64 / golden ratio, which
+   scatters the consecutive keys of neighbouring streams. */
+static inline unsigned table_home(int64_t key)
 {
-    int64_t last = st->active - 1;
-    for (int64_t s = slot; s < last; s++) {
-        st->keys[s] = st->keys[s + 1];
-        st->conf[s] = st->conf[s + 1];
-    }
-    st->keys[last] = -1;
-    st->active = last;
+    return (unsigned)((uint64_t)key * UINT64_C(0x9E3779B97F4A7C15) >> 57);
 }
 
-static void stream_push(Streams *st, int64_t key, int64_t confidence)
+/* The bucket holding `key`, else the empty bucket that ends its probe. */
+static inline unsigned table_probe(const Table *t, int64_t key)
 {
-    st->keys[st->active] = key;
-    st->conf[st->active] = confidence;
-    st->active += 1;
+    unsigned b = table_home(key);
+    while (t->bucket[b] >= 0 && t->key[t->bucket[b]] != key) {
+        b = (b + 1) & (BUCKETS - 1);
+    }
+    return b;
+}
+
+/* Append `key` as the newest entry (the table is not full, and the key is
+   absent). */
+static void table_push(Table *t, int64_t key, int64_t confidence)
+{
+    int8_t s = (int8_t)__builtin_ctzll(t->free);
+    t->free &= t->free - 1;
+    t->key[s] = key;
+    t->conf[s] = confidence;
+    t->prev[s] = t->tail;
+    t->next[s] = -1;
+    if (t->tail >= 0) t->next[t->tail] = s;
+    else t->head = s;
+    t->tail = s;
+    t->bucket[table_probe(t, key)] = s;
+}
+
+/* Remove the entry in bucket b. Each later entry of the probe run moves
+   back into the gap unless its home lies cyclically after the gap (it
+   would then sit before its home); the run's last gap becomes empty. */
+static void table_drop(Table *t, unsigned b)
+{
+    int8_t s = t->bucket[b];
+    for (unsigned i = (b + 1) & (BUCKETS - 1); t->bucket[i] >= 0;
+         i = (i + 1) & (BUCKETS - 1)) {
+        unsigned home = table_home(t->key[t->bucket[i]]);
+        if (((i - home) & (BUCKETS - 1)) >= ((i - b) & (BUCKETS - 1))) {
+            t->bucket[b] = t->bucket[i];
+            b = i;
+        }
+    }
+    t->bucket[b] = -1;
+    int8_t prev = t->prev[s], next = t->next[s];
+    if (prev >= 0) t->next[prev] = next;
+    else t->head = next;
+    if (next >= 0) t->prev[next] = prev;
+    else t->tail = prev;
+    t->free |= UINT64_C(1) << s;
+}
+
+/* The Table over st's entries, oldest first (NULL when st is NULL). */
+static Table *table_load(Table *t, Streams *st)
+{
+    if (st == NULL) return NULL;
+    t->head = t->tail = -1;
+    t->free = ~UINT64_C(0) >> (64 - st->num_streams);
+    memset(t->bucket, -1, sizeof t->bucket);
+    t->st = st;
+    for (int64_t s = 0; s < st->active; s++) {
+        table_push(t, st->keys[s], st->conf[s]);
+    }
+    return t;
+}
+
+/* Write the Table's entries back into its Streams, oldest first. */
+static void table_store(const Table *t)
+{
+    if (t == NULL) return;
+    int64_t n = 0;
+    for (int8_t s = t->head; s >= 0; s = t->next[s], n++) {
+        t->st->keys[n] = t->key[s];
+        t->st->conf[n] = t->conf[s];
+    }
+    t->st->active = n;
 }
 
 /* StreamPrefetcher.observe(line): returns how many lines after `line` to
-   prefetch (0 or degree). The slots keyed `line` and `line + 1` are the
-   lowest bits of two match masks over every slot, with no early exit (a
-   key is unique, so each mask has at most one bit). */
-static int64_t stream_observe(Streams *st, int64_t line)
+   prefetch (0 or degree). One probe each finds the entries keyed `line`
+   and `line + 1`; a slot keeps its number while others come and go, so
+   the entry found for line + 1 stays valid across a drop. */
+static int64_t stream_observe(Table *t, int64_t line)
 {
-    const int64_t *keys = st->keys;
-    uint64_t hit = 0, after = 0;
-    for (int64_t s = 0; s < st->num_streams; s++) {
-        hit |= (uint64_t)(keys[s] == line) << s;
-        after |= (uint64_t)(keys[s] == line + 1) << s;
-    }
-    int64_t next = after ? __builtin_ctzll(after) : -1;
-    if (!hit) {
+    unsigned at = table_probe(t, line);
+    int8_t found = t->bucket[at];
+    int8_t next = t->bucket[table_probe(t, line + 1)];
+    if (found < 0) {
         /* allocate: upsert line + 1 at confidence 0 (an existing entry
            keeps its place), dropping the oldest stream when full */
         if (next >= 0) {
-            st->conf[next] = 0;
+            t->conf[next] = 0;
         } else {
-            if (st->active == st->num_streams) stream_drop(st, 0);
-            stream_push(st, line + 1, 0);
+            if (!t->free) table_drop(t, table_probe(t, t->key[t->head]));
+            table_push(t, line + 1, 0);
         }
         return 0;
     }
     /* extend: pop, then upsert line + 1 */
-    int64_t found = __builtin_ctzll(hit);
-    int64_t confidence = st->conf[found] + 1;
-    stream_drop(st, found);
-    if (next >= 0) st->conf[next - (next > found)] = confidence;
-    else stream_push(st, line + 1, confidence);
-    if (confidence < st->threshold) return 0;
-    st->issued += st->degree;
-    return st->degree;
+    int64_t confidence = t->conf[found] + 1;
+    table_drop(t, at);
+    if (next >= 0) t->conf[next] = confidence;
+    else table_push(t, line + 1, confidence);
+    if (confidence < t->st->threshold) return 0;
+    t->st->issued += t->st->degree;
+    return t->st->degree;
 }
 
 static inline int64_t set_of(const Level *lv, int64_t line)
@@ -330,10 +413,10 @@ static void fill(Level *lv, int64_t *count, int k, int64_t line,
 /* FastHierarchy.access of one line: returns the serving level (1 = L1 ..
    4 = DRAM) and adds to count. A miss fills every level above the one
    that served it, deepest first (inclusive, write-allocate: only the L1
-   copy takes the write). An L1 miss then trains the prefetcher (st, NULL
+   copy takes the write). An L1 miss then trains the prefetcher (t, NULL
    when there is none), whose lines fill the L2 unless resident there; one
    absent from the LLC too is a DRAM prefetch read. */
-static inline int walk_access(Level *lv, Streams *st, int64_t line,
+static inline int walk_access(Level *lv, Table *t, int64_t line,
                               uint8_t write, int64_t *count)
 {
     Level *l2 = &lv[1], *llc = &lv[2];
@@ -356,8 +439,8 @@ static inline int walk_access(Level *lv, Streams *st, int64_t line,
     for (int f = k - 1; f >= 0; f--) {
         fill(lv, count, f, line, sidx[f], f == 0 ? write : 0);
     }
-    if (st == NULL) return k + 1;
-    int64_t issued = stream_observe(st, line);
+    if (t == NULL) return k + 1;
+    int64_t issued = stream_observe(t, line);
     for (int64_t j = 1; j <= issued; j++) {
         int64_t pf = line + j;
         int64_t ps = set_of(l2, pf);
@@ -374,9 +457,11 @@ int64_t hierarchy_walk(
     int64_t n, const int64_t *lines, const uint8_t *writes, Level *lv,
     Streams *st, int8_t *served, int64_t *count)
 {
+    Table table, *t = table_load(&table, st);
     for (int64_t i = 0; i < n; i++) {
-        served[i] = (int8_t)walk_access(lv, st, lines[i], writes[i], count);
+        served[i] = (int8_t)walk_access(lv, t, lines[i], writes[i], count);
     }
+    table_store(t);
     return 0;
 }
 
@@ -398,9 +483,10 @@ int64_t phase_walk(
     int64_t step_q = inject ? stream_lines / total_events : 0;
     int64_t step_r = inject ? stream_lines % total_events : 0;
     int64_t due = 0, rem = 0, injected = 0;
+    Table table, *t = table_load(&table, st);
     for (int64_t i = 0; i < rounds; i++) {
         for (int64_t s = 0; s < nseg; s++) {
-            tally[walk_access(lv, st, segs[s][i], writes[s], count) - 1] += 1;
+            tally[walk_access(lv, t, segs[s][i], writes[s], count) - 1] += 1;
             if (!inject) continue;
             due += step_q;
             rem += step_r;
@@ -409,10 +495,11 @@ int64_t phase_walk(
                 due += 1;
             }
             for (; injected < due; injected++) {
-                tally[3 + walk_access(lv, st, stream_base + injected, 0, count)] += 1;
+                tally[3 + walk_access(lv, t, stream_base + injected, 0, count)] += 1;
             }
         }
     }
+    table_store(t);
     return 0;
 }
 
@@ -423,15 +510,17 @@ int64_t prefetch_scan_native(
     int64_t n, const int64_t *miss_seq, const int64_t *miss_line,
     Streams *st, int64_t *pf_seq_out, int64_t *pf_line_out)
 {
+    Table table, *t = table_load(&table, st);
     int64_t out = 0;
     for (int64_t pos = 0; pos < n; pos++) {
-        int64_t issued = stream_observe(st, miss_line[pos]);
+        int64_t issued = stream_observe(t, miss_line[pos]);
         for (int64_t j = 1; j <= issued; j++) {
             pf_seq_out[out] = miss_seq[pos];
             pf_line_out[out] = miss_line[pos] + j;
             out += 1;
         }
     }
+    table_store(t);
     return out;
 }
 
@@ -958,13 +1047,14 @@ class _Streams(ctypes.Structure):
 
 class _StreamTable:
     """A :class:`~repro.cache.prefetcher.StreamPrefetcher`'s stream table as
-    the C routine ``stream_observe`` reads it: the insertion-ordered dict
-    ``_expect`` as two arrays of keys and confidences, oldest first, with
-    the keys of the free slots past them set to -1, which matches no line.
-    The routine scans the table as 64-bit masks, so a prefetcher of more
-    than :data:`~repro.cache.config.MAX_STREAMS` streams raises
-    ``ValueError``. :meth:`restore` writes the table back and adds the
-    lines issued to ``issued``.
+    the C walks take it: the insertion-ordered dict ``_expect`` as two
+    arrays of keys and confidences, oldest first, its length in
+    ``active``. Each C call builds its own hashed, linked table from them
+    and writes it back in the same order when it returns. That table has
+    one bit per slot in a 64-bit free mask, so a prefetcher of more than
+    :data:`~repro.cache.config.MAX_STREAMS` streams raises ``ValueError``.
+    :meth:`restore` writes the table back and adds the lines issued to
+    ``issued``.
     """
 
     def __init__(self, prefetcher):
@@ -974,7 +1064,7 @@ class _StreamTable:
                 f"got {prefetcher.num_streams}"
             )
         expect = prefetcher._expect
-        self.keys = np.full(prefetcher.num_streams, -1, dtype=np.int64)
+        self.keys = np.zeros(prefetcher.num_streams, dtype=np.int64)
         self.conf = np.zeros(prefetcher.num_streams, dtype=np.int64)
         self.keys[: len(expect)] = list(expect)
         self.conf[: len(expect)] = list(expect.values())
@@ -1197,8 +1287,8 @@ def prefetch_scan_native(prefetcher, miss_seq, miss_lines):
     in order, each tagged with the ``miss_seq`` entry of the miss that
     issued it. The stream-table routine is the one :func:`hierarchy_walk`
     runs inline, and the prefetcher's state advances as ``observe`` would
-    advance it. A negative line raises ``ValueError``, as the walks' lines
-    do: the table's free slots hold -1.
+    advance it. A negative line raises ``ValueError``, as it does in the
+    walks, where an empty way holds -1.
     """
     miss_seq = np.ascontiguousarray(miss_seq, dtype=np.int64)
     miss_lines = np.ascontiguousarray(miss_lines, dtype=np.int64)

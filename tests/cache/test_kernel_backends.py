@@ -25,6 +25,7 @@ from repro.cache import (
     StreamPrefetcher,
     batchsim,
 )
+from repro.cache.config import MAX_STREAMS
 from repro.cache.kernels import cnative, select_backend
 from repro.harness.machine import DEFAULT_MACHINE
 from tests.cache.conservation import assert_conserved
@@ -134,12 +135,18 @@ def test_drrip_property(lines, write_bits):
 
 
 @given(
-    starts=st.lists(st.integers(0, 400), min_size=1, max_size=12),
+    starts=st.integers(1, 40).flatmap(
+        lambda count: st.lists(st.integers(0, 400), min_size=count, max_size=count)
+    ),
     run=st.integers(1, 40),
 )
 @settings(max_examples=40, deadline=None)
 def test_prefetch_property(starts, run):
-    """Short sequential runs from random bases stress stream detection."""
+    """Short sequential runs from random bases stress stream detection.
+    The run count is drawn first, up to 40 against the 16-stream table, so
+    about a quarter of the draws fill the table and drop its oldest stream
+    (a list drawn directly averages about six runs and almost never
+    does)."""
     lines = np.concatenate([np.arange(s, s + run) for s in starts])
     assert_equivalent(
         MODES["prefetch"], lines, np.zeros(lines.size, dtype=bool)
@@ -189,7 +196,7 @@ def test_prefetch_scan_matches_observe():
             for pf in observed.observe(line)
         ]
         assert list(zip(pf_seq.tolist(), pf_line.tolist())) == expected
-        assert scanned._expect == observed._expect
+        assert list(scanned._expect.items()) == list(observed._expect.items())
         assert scanned.issued == observed.issued
     assert observed.issued > 0
     # A table ``observe`` never builds itself: a stream expecting line 10
@@ -199,7 +206,106 @@ def test_prefetch_scan_matches_observe():
         prefetcher._expect = {10: 1, 11: 0, 40: 0}
     cnative.prefetch_scan_native(scanned, np.zeros(1), np.array([10]))
     assert observed.observe(10) == [11, 12, 13]
-    assert scanned._expect == observed._expect == {11: 2, 40: 0}
+    assert (
+        list(scanned._expect.items())
+        == list(observed._expect.items())
+        == [(11, 2), (40, 0)]
+    )
+
+
+def table_home(key):
+    """The home bucket of ``key`` in the C stream table's 128-bucket index:
+    the top 7 bits of the key times a 64-bit golden-ratio constant."""
+    return (key * 0x9E3779B97F4A7C15 % 2**64) >> 57
+
+
+@st.composite
+def miss_lines(draw):
+    """One call's L1-miss stream as bursts: sequential runs, stutters
+    (steps of -1 to 2 lines, so streams restart and a missed line meets
+    its own stream's key), repeats of one line, and random lines. Starts
+    and random lines come from 0–300, so streams meet, or from a range of
+    2^40, so keys land anywhere in the index."""
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        count = draw(st.integers(1, 40))
+        kind = draw(st.sampled_from(["run", "stutter", "repeat", "random"]))
+        spread = st.one_of(st.integers(0, 300), st.integers(0, 2**40))
+        start = draw(spread)
+        if kind == "run":
+            lines += range(start, start + count)
+        elif kind == "stutter":
+            steps = draw(st.lists(
+                st.integers(-1, 2), min_size=count, max_size=count
+            ))
+            lines += [max(0, x) for x in np.cumsum([start, *steps]).tolist()]
+        elif kind == "repeat":
+            lines += [start] * count
+        else:
+            lines += draw(st.lists(spread, min_size=count, max_size=count))
+    return lines
+
+
+def assert_scan_matches_observe(scanned, observed, lines):
+    """One scan call against ``observe`` over ``lines``: the same issued
+    lines in order, the same ``issued`` and the same ordered table."""
+    seq = np.arange(len(lines))
+    pf_seq, pf_line = cnative.prefetch_scan_native(
+        scanned, seq, np.array(lines, dtype=np.int64)
+    )
+    expected = [
+        (key, pf)
+        for key, line in enumerate(lines)
+        for pf in observed.observe(line)
+    ]
+    assert list(zip(pf_seq.tolist(), pf_line.tolist())) == expected
+    assert scanned.issued == observed.issued
+    assert list(scanned._expect.items()) == list(observed._expect.items())
+
+
+@given(
+    streams=st.one_of(st.integers(1, 8), st.integers(1, MAX_STREAMS)),
+    degree=st.integers(1, 4),
+    threshold=st.integers(1, 3),
+    calls=st.lists(miss_lines(), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_stream_table_matches_observe(streams, degree, threshold, calls):
+    """The C stream table against ``observe``, call after call. Each call
+    builds the hashed, linked table from the prefetcher's oldest-first
+    arrays and writes it back, so a later call starts from what the last
+    one left."""
+    scanned = StreamPrefetcher(streams, degree, threshold)
+    observed = StreamPrefetcher(streams, degree, threshold)
+    for lines in calls:
+        assert_scan_matches_observe(scanned, observed, lines)
+
+
+def test_stream_table_shifts_a_wrapped_run():
+    """Keys A1, A2, A3 whose home is the index's last bucket, and B and C
+    homed at buckets 0 and 1, found by brute force against the kernel's
+    hash. Pushed as A1, A2, B, A3, C they fill buckets 127 and 0–3, one
+    probe run that wraps. Extending A1 drops it from bucket 127: A2 (homed
+    at the gap) and B, A3 and C after it must each move back one bucket
+    across the wrap, or a later lookup stops at the emptied bucket. With
+    threshold 1 every extension issues a line, so a lost key shows in the
+    issued lines. All of it runs in one call, since each call rebuilds the
+    index. A sixth stream then drops the oldest, A1 + 1: A2 + 1 still
+    extends, and A1 + 1 allocates again, dropping B + 1."""
+    assert "UINT64_C(0x9E3779B97F4A7C15) >> 57" in cnative._SOURCE
+    homed = {
+        home: [k for k in range(1, 10**5) if table_home(k) == home][:3]
+        for home in (127, 0, 1)
+    }
+    keys = [homed[127][0], homed[127][1], homed[0][0], homed[127][2], homed[1][0]]
+    fresh = max(keys) + 100
+    lines = [k - 1 for k in keys] + keys + [fresh, keys[1] + 1, keys[0] + 1]
+    scanned, observed = StreamPrefetcher(5, 1, 1), StreamPrefetcher(5, 1, 1)
+    assert_scan_matches_observe(scanned, observed, lines)
+    assert observed.issued == 6
+    assert list(observed._expect) == [
+        keys[3] + 1, keys[4] + 1, fresh + 1, keys[1] + 2, keys[0] + 2
+    ]
 
 
 def _figure_trace():
@@ -255,19 +361,25 @@ class TestBackendSelection:
 
 
 def test_freed_stream_slot_matches_no_line():
-    """Extending the newest stream frees its slot. The scan compares every
-    slot, so the freed one's key must become -1: the second miss on 11
-    finds no stream and only resets the one expecting 12."""
+    """Extending the newest stream drops it: its key must leave the index
+    and the table's tail move back to the stream expecting 12. The second
+    miss on 11 then finds no stream and only resets the one expecting 12,
+    and a miss on 30 links its stream after that one."""
     scanned, observed = StreamPrefetcher(4, 1, 2), StreamPrefetcher(4, 1, 2)
-    lines = np.array([11, 10, 11, 11])
+    lines = np.array([11, 10, 11, 11, 30])
     cnative.prefetch_scan_native(scanned, np.arange(lines.size), lines)
     for line in lines.tolist():
         observed.observe(line)
-    assert scanned._expect == observed._expect == {12: 0}
+    assert (
+        list(scanned._expect.items())
+        == list(observed._expect.items())
+        == [(12, 0), (31, 0)]
+    )
 
 
 def test_prefetch_scan_rejects_a_negative_line():
-    """A free slot's key is -1, so a miss on line -1 would match it."""
+    """The scan keeps the walks' contract: they reject a negative line,
+    because an empty way holds -1."""
     prefetcher = StreamPrefetcher()
     with pytest.raises(ValueError, match="negative line number -1"):
         cnative.prefetch_scan_native(prefetcher, [0], [-1])
@@ -275,7 +387,7 @@ def test_prefetch_scan_rejects_a_negative_line():
 
 
 def test_prefetch_scan_rejects_a_table_wider_than_its_mask():
-    """The stream table is scanned as 64-bit match masks."""
+    """The C table marks its free slots in one 64-bit word."""
     with pytest.raises(ValueError, match="at most 64 streams"):
         cnative.prefetch_scan_native(
             StreamPrefetcher(65), np.zeros(1), np.array([10])

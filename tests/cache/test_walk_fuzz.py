@@ -403,9 +403,10 @@ def test_drrip_victim_from_each_maximum(top, at_top):
 def test_freed_stream_slot_through_the_walk(entry):
     """Lines 11, 10, 11, 12, 11 through one L1 set with one usable way:
     every access misses L1 and reaches the prefetcher. The second 11
-    extends stream 11, which frees its slot; 12 then extends stream 12 and
-    pushes 13 into the slot below it. The last 11 must find no stream and
-    allocate one: a freed slot that kept its key 11 would extend it."""
+    extends stream 11, the newest, which drops it and frees its slot; 12
+    then extends stream 12 and pushes 13 into the slot it leaves. The last
+    11 must find no stream and allocate one behind 13: an index that kept
+    a bucket for 11 would extend it."""
     config = HierarchyConfig(
         l1_bytes=2 * LINE_BYTES, l1_ways=2, l1_reserved_ways=1,
         prefetch_streams=4, prefetch_degree=1, prefetch_threshold=2,
@@ -418,4 +419,4 @@ def test_freed_stream_slot_through_the_walk(entry):
         phase = ([lines], [False], 0, 0, len(lines))
         assert batch.replay_phase(*phase) == fast.replay_phase(*phase)
     assert_same_state(batch, fast)
-    assert fast.prefetcher._expect == {13: 2, 12: 0}
+    assert list(fast.prefetcher._expect.items()) == [(13, 2), (12, 0)]

@@ -57,6 +57,10 @@ BACKEND_PAIRS = {
         "the group cumulative count",
         "tests/pb/test_binning_native.py::test_c_path_matches_the_oracle",
     ),
+    "prefetch_scan_native": (
+        "StreamPrefetcher.observe",
+        "tests/cache/test_kernel_backends.py::test_stream_table_matches_observe",
+    ),
 }
 
 #: Float-valued counters that must never be compared with ``==``.
